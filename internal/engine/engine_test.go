@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"xpathviews/internal/engine"
@@ -193,4 +194,65 @@ func randomPattern(r *rand.Rand, labels []string, maxNodes int) *pattern.Pattern
 		nodes = append(nodes, parent.AddChild(lb, pattern.Axis(r.Intn(2))))
 	}
 	return &pattern.Pattern{Root: root, Ret: nodes[r.Intn(len(nodes))]}
+}
+
+// TestAnswersWithinMatchesAnswers: scoped evaluation equals the
+// reference answer set restricted to the scope's subtree, for the root,
+// inner and leaf scopes, after random inserts and deletes have been
+// applied to the tree and folded into the label index incrementally.
+// One memo serves every call, as it does across a mutation's views.
+func TestAnswersWithinMatchesAnswers(t *testing.T) {
+	r := rand.New(rand.NewSource(1208))
+	labels := []string{"a", "b", "c", "d"}
+	memo := new(engine.Memo)
+	for trial := 0; trial < 15; trial++ {
+		tree := randomTree(r, 60+r.Intn(100), labels)
+		idx := engine.BuildLabelIndex(tree)
+		for step := 0; step < 12; step++ {
+			nodes := tree.Nodes()
+			if r.Intn(3) > 0 || len(nodes) < 20 {
+				parent := nodes[r.Intn(len(nodes))]
+				sub := randomTree(r, 1+r.Intn(6), labels).Root()
+				tree.GraftAt(parent, sub, r.Intn(len(parent.Children)+1))
+				idx.AddSubtree(tree, sub)
+			} else {
+				n := nodes[1+r.Intn(len(nodes)-1)]
+				if err := tree.Detach(n); err != nil {
+					t.Fatal(err)
+				}
+				idx.RemoveSubtree(n)
+			}
+
+			nodes = tree.Nodes()
+			var inner, leaves []*xmltree.Node
+			for _, n := range nodes[1:] {
+				if len(n.Children) > 0 {
+					inner = append(inner, n)
+				} else {
+					leaves = append(leaves, n)
+				}
+			}
+			scopes := []*xmltree.Node{tree.Root(), leaves[r.Intn(len(leaves))]}
+			if len(inner) > 0 {
+				scopes = append(scopes, inner[r.Intn(len(inner))])
+			}
+			for qi := 0; qi < 6; qi++ {
+				q := randomPattern(r, labels, 5)
+				ref := engine.Answers(tree, q)
+				for _, scope := range scopes {
+					var want []*xmltree.Node
+					for _, a := range ref {
+						if a == scope || scope.IsAncestorOf(a) {
+							want = append(want, a)
+						}
+					}
+					got := engine.AnswersWithin(tree, idx, q, scope, memo)
+					if !slices.Equal(got, want) {
+						t.Fatalf("trial %d step %d: AnswersWithin(%s, scope %s@%d) = %d nodes, want %d",
+							trial, step, q, scope.Label, tree.Ord(scope), len(got), len(want))
+					}
+				}
+			}
+		}
+	}
 }

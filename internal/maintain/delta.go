@@ -24,116 +24,180 @@ type DeltaStats struct {
 	// Changed reports that the fragment store was modified at all — the
 	// signal that bumps the view's generation.
 	Changed bool
-	// Scanned reports that the pattern was re-evaluated over the dirty
-	// scope (false when the label prefilter proved membership could not
-	// change).
-	Scanned bool
 }
 
-// ApplyDelta maintains v after a mutation rooted at mutCode. scope is
-// v's dirty root (an ancestor-or-self of the mutation root, computed
-// via DirtyDepth) resolved in the post-mutation document; it is nil
-// exactly when the dirty root was the deleted subtree itself, in which
-// case the scope's prefix range simply empties. mutLabels is the label
-// set of the mutated subtree, used to skip re-evaluation for views whose
-// patterns cannot touch it.
-func ApplyDelta(v *views.View, doc *xmltree.Tree, enc *dewey.Encoding, scope *xmltree.Node, scopeCode, mutCode dewey.Code, mutLabels map[string]struct{}) (DeltaStats, error) {
+// Mutation is one applied subtree mutation as every view's maintenance
+// pass sees it. The owning System builds it once per mutation, after the
+// document, encoding and label index already reflect the change, and
+// hands the same value to ApplyDelta for each view; it also carries the
+// scratch those passes share (the evaluation memo and the resolved dirty
+// scopes), so one value must not be used by concurrent passes.
+type Mutation struct {
+	// Doc, Index and Enc are the post-mutation document, its label index
+	// and its Dewey encoding.
+	Doc   *xmltree.Tree
+	Index *engine.LabelIndex
+	Enc   *dewey.Encoding
+	// Code is the mutation root's code: the inserted subtree's root, or
+	// the deleted one's.
+	Code dewey.Code
+	// Path is the mutation root's root-to-self label path, taken before
+	// the mutation (a deleted root no longer has one afterwards).
+	Path []string
+	// Labels is the label set of the mutated subtree.
+	Labels map[string]struct{}
+
+	memo   engine.Memo
+	scopes map[int]*xmltree.Node // dirty depth -> resolved scope (nil: the deleted root)
+}
+
+// scope resolves the dirty root at depth in the post-mutation document,
+// once per depth. It is nil exactly when the dirty root was the deleted
+// subtree itself.
+func (m *Mutation) scope(depth int) *xmltree.Node {
+	n, ok := m.scopes[depth]
+	if !ok {
+		if m.scopes == nil {
+			m.scopes = make(map[int]*xmltree.Node)
+		}
+		n, _ = ResolveCode(m.Doc, m.Enc, m.Code[:depth+1])
+		m.scopes[depth] = n
+	}
+	return n
+}
+
+// ApplyDelta maintains v after the mutation m. Views whose patterns
+// cannot touch the mutated labels skip re-evaluation; the rest are
+// re-evaluated inside their dirty root (DirtyDepth) and the result is
+// spliced over that root's code-prefix range.
+func ApplyDelta(v *views.View, m *Mutation) (DeltaStats, error) {
 	var st DeltaStats
 
-	if !patternTouches(v.Pattern, mutLabels) {
+	if !patternTouches(v.Pattern, m.Labels) {
 		// Membership cannot change: every witness a membership flip needs
 		// would carry a label from the mutated subtree. Only fragments
 		// whose copied content contains the mutation point (roots at
-		// proper-ancestor-or-self codes of mutCode) need a re-copy.
-		if err := refreshAncestors(v, doc, enc, mutCode, len(mutCode), &st); err != nil {
+		// proper-ancestor-or-self codes of the mutation root) need a
+		// re-copy.
+		if err := refreshAncestors(v, m, len(m.Code), &st); err != nil {
 			return st, err
 		}
 		st.Changed = st.Refreshed > 0
 		return st, nil
 	}
-	st.Scanned = true
 
 	// Re-evaluate the pattern inside the dirty scope against the full
 	// document and splice the result over the scope's prefix range.
-	lo, hi := v.PrefixRange(scopeCode)
+	depth := DirtyDepth(v.Pattern, m.Path)
+	scopeCode := m.Code[:depth+1]
 	var answers []*xmltree.Node
-	if scope != nil {
-		answers = engine.AnswersWithin(doc, v.Pattern, scope)
+	if scope := m.scope(depth); scope != nil {
+		answers = engine.AnswersWithin(m.Doc, m.Index, v.Pattern, scope, &m.memo)
 	}
-	fresh := make([]views.Fragment, 0, len(answers))
-	for _, a := range answers {
-		f, err := views.BuildFragment(enc, a)
-		if err != nil {
-			return st, fmt.Errorf("maintain: view %d: %w", v.ID, err)
-		}
-		fresh = append(fresh, f)
+	lo, hi := v.PrefixRange(scopeCode)
+	if err := splice(v, m, lo, hi, answers, &st); err != nil {
+		return st, err
 	}
-
-	// Merge-diff old range vs fresh (both code-sorted) to see whether the
-	// splice changes anything: differing codes always do; equal codes only
-	// when the fragment's subtree contains or is contained in the mutated
-	// one (its copied content changed).
-	old := v.Fragments[lo:hi]
-	i, j := 0, 0
-	changed := false
-	for i < len(old) && j < len(fresh) {
-		switch c := dewey.Compare(old[i].Code, fresh[j].Code); {
-		case c < 0:
-			st.Removed++
-			changed = true
-			i++
-		case c > 0:
-			st.Added++
-			changed = true
-			j++
-		default:
-			if dewey.IsPrefix(old[i].Code, mutCode) || dewey.IsPrefix(mutCode, old[i].Code) {
-				st.Refreshed++
-				changed = true
-			}
-			i++
-			j++
-		}
-	}
-	st.Removed += len(old) - i
-	st.Added += len(fresh) - j
-	if st.Added > 0 || st.Removed > 0 {
-		changed = true
-	}
-	if changed {
-		v.ReplaceRange(lo, hi, fresh)
-	}
-	st.Changed = changed
 
 	// Fragments rooted above the splice range that contain the mutation
 	// point: membership unchanged, content re-copied. The scope root and
-	// everything below it were already rebuilt by the splice.
-	if err := refreshAncestors(v, doc, enc, mutCode, len(scopeCode)-1, &st); err != nil {
+	// everything below it were already handled by the splice.
+	if err := refreshAncestors(v, m, len(scopeCode)-1, &st); err != nil {
 		return st, err
 	}
 	st.Changed = st.Changed || st.Refreshed > 0
 	return st, nil
 }
 
+// splice merges the fresh answers (document order) against the old
+// fragments v.Fragments[lo:hi] (code order, the same relation). An old
+// code the answers lack was removed; an answer code the old range lacks
+// was added; a shared code keeps its old fragment unless that fragment
+// contains or lies inside the mutation point, in which case its copied
+// content changed and it is rebuilt. Only added and rebuilt fragments
+// are copied out of the document, and the store is replaced only when
+// something changed.
+func splice(v *views.View, m *Mutation, lo, hi int, answers []*xmltree.Node, st *DeltaStats) error {
+	old := v.Fragments[lo:hi]
+	// fresh stays nil while the merge has only reused fragments in
+	// order; the first change seeds it with that unchanged run.
+	var fresh []views.Fragment
+	i := 0
+	diverge := func() {
+		if fresh == nil {
+			fresh = make([]views.Fragment, 0, len(answers))
+			fresh = append(fresh, old[:i]...)
+		}
+	}
+	build := func(a *xmltree.Node) error {
+		f, err := views.BuildFragment(m.Enc, a)
+		if err != nil {
+			return fmt.Errorf("maintain: view %d: %w", v.ID, err)
+		}
+		fresh = append(fresh, f)
+		return nil
+	}
+	for _, a := range answers {
+		code, ok := m.Enc.CodeOf(a)
+		if !ok {
+			return fmt.Errorf("maintain: view %d: answer node %q has no dewey code", v.ID, a.Label)
+		}
+		for i < len(old) && dewey.Compare(old[i].Code, code) < 0 {
+			diverge()
+			st.Removed++
+			i++
+		}
+		switch {
+		case i == len(old) || dewey.Compare(old[i].Code, code) != 0:
+			diverge()
+			st.Added++
+			if err := build(a); err != nil {
+				return err
+			}
+		case dewey.IsPrefix(code, m.Code) || dewey.IsPrefix(m.Code, code):
+			diverge()
+			st.Refreshed++
+			i++
+			if err := build(a); err != nil {
+				return err
+			}
+		default:
+			if fresh != nil {
+				fresh = append(fresh, old[i])
+			}
+			i++
+		}
+	}
+	if i < len(old) {
+		diverge()
+		st.Removed += len(old) - i
+	}
+	if fresh != nil {
+		v.ReplaceRange(lo, hi, fresh)
+		st.Changed = true
+	}
+	return nil
+}
+
 // refreshAncestors re-copies every fragment rooted at a prefix of
-// mutCode shorter than limit components — the fragments whose stored
+// m.Code shorter than limit components — the fragments whose stored
 // subtree copies contain the mutation point but whose membership is
 // untouched. For deletes the deepest prefix (the deleted root itself,
 // when limit permits) can no longer resolve; by the prefilter/splice
 // arguments no fragment can be rooted there, so resolution failure for
 // an existing fragment is reported as corruption.
-func refreshAncestors(v *views.View, doc *xmltree.Tree, enc *dewey.Encoding, mutCode dewey.Code, limit int, st *DeltaStats) error {
-	for l := 1; l <= limit && l <= len(mutCode); l++ {
-		prefix := mutCode[:l]
+func refreshAncestors(v *views.View, m *Mutation, limit int, st *DeltaStats) error {
+	for l := 1; l <= limit && l <= len(m.Code); l++ {
+		prefix := m.Code[:l]
 		i := v.FindCode(prefix)
 		if i < 0 {
 			continue
 		}
-		n, ok := ResolveCode(doc, enc, prefix)
+		n, ok := ResolveCode(m.Doc, m.Enc, prefix)
 		if !ok {
 			return fmt.Errorf("maintain: view %d: fragment root %s no longer resolves", v.ID, prefix)
 		}
-		f, err := views.BuildFragment(enc, n)
+		f, err := views.BuildFragment(m.Enc, n)
 		if err != nil {
 			return fmt.Errorf("maintain: view %d: %w", v.ID, err)
 		}

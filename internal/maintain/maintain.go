@@ -24,6 +24,16 @@
 //     scope's prefix range, and refresh ancestor fragments whose copied
 //     content contains the mutation point.
 //
+// A pass costs in proportion to the view's candidates and changed
+// fragments, not to the size of its dirty scope. AnswersWithin takes
+// its candidates from the label index: the spine-last label's nodes
+// inside the scope's preorder range, found by binary search. Its
+// verdict memo is a dense, epoch-stamped array that one Mutation value
+// (built once per mutation) lends to every view's pass. The splice
+// copies out of the document only the fragments that entered the view
+// or whose content holds the mutation point, and carries every other
+// stored fragment over unchanged.
+//
 // The package is storage- and lock-agnostic: the owning System drives it
 // under its write lock and appends the WAL records (record.go) to
 // internal/storage.

@@ -8,6 +8,7 @@ package views
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"xpathviews/internal/dewey"
@@ -133,7 +134,8 @@ func (v *View) FindCode(c dewey.Code) int {
 }
 
 // ReplaceRange splices frags (already in document order) over
-// v.Fragments[lo:hi], keeping TotalBytes consistent.
+// v.Fragments[lo:hi], keeping TotalBytes consistent. The store is
+// edited in place when its capacity allows, so frags must not alias it.
 func (v *View) ReplaceRange(lo, hi int, frags []Fragment) {
 	for _, f := range v.Fragments[lo:hi] {
 		v.TotalBytes -= f.Bytes
@@ -141,11 +143,7 @@ func (v *View) ReplaceRange(lo, hi int, frags []Fragment) {
 	for _, f := range frags {
 		v.TotalBytes += f.Bytes
 	}
-	out := make([]Fragment, 0, len(v.Fragments)-(hi-lo)+len(frags))
-	out = append(out, v.Fragments[:lo]...)
-	out = append(out, frags...)
-	out = append(out, v.Fragments[hi:]...)
-	v.Fragments = out
+	v.Fragments = slices.Replace(v.Fragments, lo, hi, frags...)
 }
 
 // ErrTooLarge reports that a view's fragments exceed the configured cap.

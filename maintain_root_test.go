@@ -219,6 +219,14 @@ func TestMutationDifferentialXMark(t *testing.T) {
 		"//item[location]/name",
 		"//mail[from]/date",
 		"//open_auction/bidder/increase",
+		// A predicate-bearing wildcard that can image site: the dirty
+		// root is the document root on every mutation.
+		"//*[people]//name",
+		// A wildcard spine-last step: candidates are a slice of the
+		// document order, not of a label list.
+		"//item/*",
+		// A deep descendant chain.
+		"//site//people//person//address//city",
 	} {
 		if _, err := sys.AddView(v, xpathviews.DefaultFragmentLimit); err != nil {
 			t.Fatal(err)
@@ -229,6 +237,8 @@ func TestMutationDifferentialXMark(t *testing.T) {
 		"//person[address]/name",
 		"//item[location]/name",
 		"//mail[from]/date",
+		"//*[people]//name",
+		"//item/*",
 	}
 	freshEqual(t, sys, "seed")
 	answersAgree(t, sys, queries, "seed")

@@ -361,20 +361,16 @@ func (s *System) applyDeleteLocked(code dewey.Code, res *MaintainResult, co call
 // applies the configured plan-invalidation policy.
 func (s *System) maintainViewsLocked(mutCode dewey.Code, path []string, mutLabels map[string]struct{}, res *MaintainResult, co callObs) error {
 	sp := co.child("maintain")
-	// Views sharing a dirty depth share the resolved scope node; a nil
-	// scope (the deleted root itself) is cached too.
-	scopeCache := make(map[int]*xmltree.Node)
+	// One value per mutation: the views share its resolved dirty scopes
+	// and its evaluation memo.
+	mut := &maintain.Mutation{
+		Doc: s.doc, Index: s.registry.Index, Enc: s.enc,
+		Code: mutCode, Path: path, Labels: mutLabels,
+	}
 	vstats := s.vstats.Load()
 	for _, v := range s.registry.Views() {
 		res.ViewsChecked++
-		depth := maintain.DirtyDepth(v.Pattern, path)
-		scopeCode := mutCode[:depth+1]
-		scope, cached := scopeCache[depth]
-		if !cached {
-			scope, _ = maintain.ResolveCode(s.doc, s.enc, scopeCode)
-			scopeCache[depth] = scope
-		}
-		st, err := maintain.ApplyDelta(v, s.doc, s.enc, scope, scopeCode, mutCode, mutLabels)
+		st, err := maintain.ApplyDelta(v, mut)
 		if err != nil {
 			if sp != nil {
 				sp.Err(err)

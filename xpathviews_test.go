@@ -1,7 +1,6 @@
 package xpathviews_test
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -101,8 +100,6 @@ func TestStrategiesAgreeOnXMark(t *testing.T) {
 			continue
 		}
 	}
-	r := rand.New(rand.NewSource(79))
-	_ = r
 	answered := 0
 	for i := 0; i < 60; i++ {
 		q := gen.Query()
